@@ -115,6 +115,24 @@ def _as_tensor(name: str, value, symmetric_modes, dtype=np.float64) -> Tensor:
     return Tensor.from_dense(arr, symmetric_modes.get(name, ()))
 
 
+def _as_dense(value, dtype=np.float64) -> np.ndarray:
+    """A dense operand as a fresh array in the kernel's element dtype.
+
+    One pass, and byte-identical to the dense -> COO -> dense round trip
+    it replaces: casting to *dtype* first and then adding zero in *dtype*
+    turns ``-0.0`` into ``+0.0`` and keeps NaN and inf, exactly as
+    dropping and refilling zeros did (a signalling NaN comes out quiet).
+    The result never aliases *value*, so a plan keeps a snapshot of its
+    inputs.
+    """
+    dtype = np.dtype(dtype)
+    arr = np.asarray(value)
+    out = np.empty(arr.shape, dtype=dtype)
+    with np.errstate(invalid="ignore"):
+        np.add(arr, dtype.type(0), out=out, dtype=dtype, casting="unsafe")
+    return out
+
+
 def plan_identity(tensors: Mapping[str, object]) -> Tuple:
     """Fingerprint of an argument set for plan-reuse decisions.
 
@@ -412,43 +430,54 @@ class BoundKernel:
 
     def _prepare(self, tensors: Mapping[str, object]) -> Dict[str, object]:
         args: Dict[str, object] = {}
-        wrapped: Dict[str, Tensor] = {}
-        by_identity: Dict[Tuple, Tensor] = {}
-        for name, value in tensors.items():
-            sym = tuple(tuple(p) for p in self.symmetric_modes.get(name, ()))
-            key = (id(value), sym)
-            if key not in by_identity:
-                by_identity[key] = _as_tensor(
-                    name, value, self.symmetric_modes, dtype=self.dtype
-                )
-            wrapped[name] = by_identity[key]
+        wrapped: Dict[str, object] = {}
+        by_identity: Dict[Tuple, object] = {}
+        # raw arrays that feed only dense views stay dense: one cast copy
+        # each, never a COO packing
+        packed_names = {view.tensor for view in self.lowered.sparse_views}
+        with obs_trace.span("prepare:wrap"):
+            for name, value in tensors.items():
+                sym = tuple(tuple(p) for p in self.symmetric_modes.get(name, ()))
+                packed = name in packed_names or isinstance(value, (Tensor, COO))
+                key = (id(value), sym, packed)
+                if key not in by_identity:
+                    by_identity[key] = (
+                        _as_tensor(
+                            name, value, self.symmetric_modes, dtype=self.dtype
+                        )
+                        if packed
+                        else _as_dense(value, self.dtype)
+                    )
+                wrapped[name] = by_identity[key]
 
         # sparse views: Tensor.view memoizes per (mode_order, levels,
         # filter) on the wrapped tensor, so shared tensors share realizations
-        for view in self.lowered.sparse_views:
-            tensor = wrapped[view.tensor]
-            fiber = tensor.view(view.mode_order, view.levels, view.tensor_filter)
-            for arr_name, arr in fiber.arrays().items():
-                args["%s_%s" % (view.name, arr_name)] = arr
+        with obs_trace.span("prepare:views"):
+            for view in self.lowered.sparse_views:
+                tensor = wrapped[view.tensor]
+                fiber = tensor.view(
+                    view.mode_order, view.levels, view.tensor_filter
+                )
+                for arr_name, arr in fiber.arrays().items():
+                    args["%s_%s" % (view.name, arr_name)] = arr
 
         dense_base: Dict[int, np.ndarray] = {}
         dense_perm: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
-        for view in self.lowered.dense_views:
-            tensor = wrapped[view.tensor]
-            tkey = id(tensor)
-            if tkey not in dense_base:
-                dense_base[tkey] = (
-                    tensor.to_dense()
-                    if isinstance(tensor, Tensor)
-                    else np.asarray(tensor)
-                )
-            pkey = (tkey, view.perm)
-            if pkey not in dense_perm:
-                arr = dense_base[tkey]
-                if view.perm != tuple(range(arr.ndim)):
-                    arr = np.ascontiguousarray(np.transpose(arr, view.perm))
-                dense_perm[pkey] = arr
-            args[view.name] = dense_perm[pkey]
+        with obs_trace.span("prepare:dense"):
+            for view in self.lowered.dense_views:
+                tensor = wrapped[view.tensor]
+                tkey = id(tensor)
+                if tkey not in dense_base:
+                    dense_base[tkey] = (
+                        tensor.to_dense() if isinstance(tensor, Tensor) else tensor
+                    )
+                pkey = (tkey, view.perm)
+                if pkey not in dense_perm:
+                    arr = dense_base[tkey]
+                    if view.perm != tuple(range(arr.ndim)):
+                        arr = np.ascontiguousarray(np.transpose(arr, view.perm))
+                    dense_perm[pkey] = arr
+                args[view.name] = dense_perm[pkey]
 
         for dim in self.lowered.dims:
             args[dim.name] = int(wrapped[dim.tensor].shape[dim.mode])
@@ -665,11 +694,12 @@ class BoundKernel:
 
     def finalize(self, out: np.ndarray) -> np.ndarray:
         """Undo the output layout permutation and replicate triangles."""
-        layout = self.lowered.output.layout
-        if layout != tuple(range(len(layout))):
-            out = np.transpose(out, np.argsort(layout))
-        if self.lowered.output.replication_parts:
-            out = replicate_output(out, self.lowered.output.replication_parts)
-        if out.ndim == 0:
-            return out
-        return np.ascontiguousarray(out)
+        with obs_trace.span("finalize"):
+            layout = self.lowered.output.layout
+            if layout != tuple(range(len(layout))):
+                out = np.transpose(out, np.argsort(layout))
+            if self.lowered.output.replication_parts:
+                out = replicate_output(out, self.lowered.output.replication_parts)
+            if out.ndim == 0:
+                return out
+            return np.ascontiguousarray(out)

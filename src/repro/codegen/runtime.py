@@ -66,14 +66,39 @@ def replicate_output(
     non-increasing within each symmetric mode group; this post-pass (4.2.2,
     run in a separate loop nest exactly as the paper prescribes) gathers
     every entry from its canonical source.  Returns a new array.
+
+    The canonical source of each entry is computed on open index grids: a
+    min/max sorting network orders each group's coordinates descending,
+    and one flat gather copies the values, so no full per-mode index
+    array is ever built and the values are copied bit for bit.
     """
     nontrivial = [sorted(p) for p in mode_parts if len(p) >= 2]
     if not nontrivial:
         return arr
-    index = list(np.indices(arr.shape))
+    index = list(np.ogrid[tuple(slice(n) for n in arr.shape)])
     for group in nontrivial:
-        stacked = np.stack([index[m] for m in group])
-        stacked = -np.sort(-stacked, axis=0)  # descending == canonical
-        for t, m in enumerate(group):
-            index[m] = stacked[t]
-    return arr[tuple(index)]
+        # bubble-sort network: each pass sinks the smallest remaining
+        # coordinate to the back, leaving the group descending
+        for last in range(len(group) - 1, 0, -1):
+            for t in range(last):
+                a, b = group[t], group[t + 1]
+                index[a], index[b] = (
+                    np.maximum(index[a], index[b]),
+                    np.minimum(index[a], index[b]),
+                )
+    # C-order flat index, accumulated in place: every grid is ours
+    flat = index[-1]
+    stride = arr.shape[-1]
+    for m in range(arr.ndim - 2, -1, -1):
+        term = index[m]
+        term *= stride
+        shape = np.broadcast_shapes(flat.shape, term.shape)
+        if flat.shape == shape:
+            flat += term
+        elif term.shape == shape:
+            term += flat
+            flat = term
+        else:
+            flat = flat + term
+        stride *= arr.shape[m]
+    return arr.ravel().take(flat)

@@ -21,12 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.codegen.executor import (
-    BoundKernel,
-    ExecutionPlan,
-    _as_tensor,
-    plan_identity,
-)
+from repro.codegen.executor import BoundKernel, ExecutionPlan, plan_identity
 from repro.codegen.lower import LoweredKernel, lower_plan
 from repro.codegen.runtime import make_output
 from repro.core.config import CompilerOptions, DEFAULT, NAIVE
@@ -388,15 +383,13 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------
     def output_shape(self, **tensors) -> Tuple[int, ...]:
-        wrapped = {
-            name: _as_tensor(name, value, self.plan.symmetric_modes)
-            for name, value in tensors.items()
-        }
+        """The logical output shape, read off the operands' extents."""
+        shapes = {name: np.shape(value) for name, value in tensors.items()}
         extents: Dict[str, int] = {}
         for acc in self.plan.original.accesses:
-            if acc.tensor in wrapped:
+            if acc.tensor in shapes:
                 for mode, idx in enumerate(acc.indices):
-                    extents.setdefault(idx, int(wrapped[acc.tensor].shape[mode]))
+                    extents.setdefault(idx, int(shapes[acc.tensor][mode]))
         return tuple(extents[i] for i in self.plan.original.lhs.indices)
 
     def prepare(self, **tensors):

@@ -41,7 +41,10 @@ class COO:
 
     Duplicate coordinates are combined by addition at construction.  The
     value dtype (float64 by default, float32 preserved end to end) follows
-    the ``vals`` array unless ``dtype`` forces one.
+    the ``vals`` array unless ``dtype`` forces one.  ``lexsorted=True``
+    states, unchecked, that the coordinates are already in lexicographic
+    order; constructors that produce that order pass it so
+    :meth:`sorted_lex` can skip its sort.
     """
 
     def __init__(
@@ -52,6 +55,7 @@ class COO:
         *,
         sum_duplicates: bool = True,
         dtype=None,
+        lexsorted: bool = False,
     ):
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim == 1:
@@ -71,8 +75,13 @@ class COO:
         self.shape = tuple(int(n) for n in shape)
         if sum_duplicates and coords.shape[1]:
             coords, vals = _sum_duplicates(coords, vals)
+            lexsorted = True
         self.coords = coords
         self.vals = vals
+        #: entries are known to be in lexicographic coordinate order
+        #: (mode 0 outermost); the coordinate array must not be reordered
+        #: in place afterwards.
+        self.lexsorted = bool(lexsorted) or self.nnz <= 1 or not self.ndim
 
     # ------------------------------------------------------------------
     @property
@@ -98,13 +107,23 @@ class COO:
 
     @staticmethod
     def from_dense(arr: np.ndarray, fill: float = 0.0) -> "COO":
+        """The entries of *arr* that differ from *fill*, in one scan.
+
+        The flat positions of the entries come out in C order, which is
+        lexicographic coordinate order, so the result needs no sort.
+        """
         arr = _coerce_vals(arr)
         # compare against the fill *in the array's own dtype*: a float64
         # fill literal must not promote a float32 comparison (and zeros
         # that only exist after rounding to float32 must be dropped)
-        mask = arr != arr.dtype.type(fill)
-        coords = np.array(np.nonzero(mask), dtype=np.int64)
-        return COO(coords, arr[mask], arr.shape, sum_duplicates=False)
+        flat = np.flatnonzero(arr != arr.dtype.type(fill))
+        if arr.ndim:
+            coords = np.array(np.unravel_index(flat, arr.shape), dtype=np.int64)
+        else:
+            coords = np.zeros((0, flat.size), dtype=np.int64)
+        return COO(
+            coords, arr.take(flat), arr.shape, sum_duplicates=False, lexsorted=True
+        )
 
     def to_dense(self, fill: float = 0.0) -> np.ndarray:
         # the fill adopts the payload dtype — a float32 tensor densifies
@@ -126,6 +145,7 @@ class COO:
             self.vals.astype(dtype),
             self.shape,
             sum_duplicates=False,
+            lexsorted=self.lexsorted,
         )
 
     # ------------------------------------------------------------------
@@ -135,6 +155,8 @@ class COO:
         order = tuple(order)
         if sorted(order) != list(range(self.ndim)):
             raise ValueError("order %s is not a permutation" % (order,))
+        if order == tuple(range(self.ndim)):
+            return self
         return COO(
             self.coords[list(order)],
             self.vals,
@@ -144,16 +166,25 @@ class COO:
 
     def filter(self, mask: np.ndarray) -> "COO":
         return COO(
-            self.coords[:, mask], self.vals[mask], self.shape, sum_duplicates=False
+            self.coords[:, mask],
+            self.vals[mask],
+            self.shape,
+            sum_duplicates=False,
+            lexsorted=self.lexsorted,
         )
 
     def sorted_lex(self) -> "COO":
-        """Sort entries lexicographically by coordinate, mode 0 outermost."""
-        if not self.nnz or self.ndim == 0:
+        """Sort entries lexicographically by coordinate, mode 0 outermost
+        (``self`` when already in that order)."""
+        if self.lexsorted:
             return self
         order = np.lexsort(self.coords[::-1])
         return COO(
-            self.coords[:, order], self.vals[order], self.shape, sum_duplicates=False
+            self.coords[:, order],
+            self.vals[order],
+            self.shape,
+            sum_duplicates=False,
+            lexsorted=True,
         )
 
     def __eq__(self, other) -> bool:

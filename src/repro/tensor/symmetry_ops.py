@@ -123,7 +123,9 @@ def _drop_duplicates(coo: COO) -> COO:
     keep = np.concatenate(
         ([True], np.any(coords[:, 1:] != coords[:, :-1], axis=0))
     )
-    return COO(coords[:, keep], vals[keep], coo.shape, sum_duplicates=False)
+    return COO(
+        coords[:, keep], vals[keep], coo.shape, sum_duplicates=False, lexsorted=True
+    )
 
 
 def symmetrize_matrix(coo: COO) -> COO:

@@ -218,19 +218,21 @@ def test_store_remove_deletes_artifacts(tmp_path):
 # ----------------------------------------------------------------------
 def test_prepare_wraps_shared_inputs_once(monkeypatch):
     calls = []
-    original = executor_mod._as_tensor
+    for wrapper in ("_as_tensor", "_as_dense"):
+        original = getattr(executor_mod, wrapper)
 
-    def counting(name, value, symmetric_modes, dtype=np.float64):
-        calls.append(name)
-        return original(name, value, symmetric_modes, dtype=dtype)
+        def counting(*args, _original=original, _wrapper=wrapper, **kwargs):
+            calls.append(_wrapper)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "_as_tensor", counting)
+        monkeypatch.setattr(executor_mod, wrapper, counting)
     kernel = compile_kernel(
         "C[i, j] += A[i, k] * B[k, j]", loop_order=("i", "k", "j")
     )
     shared = np.arange(16.0).reshape(4, 4)
     prepared = kernel.bound.prepare(A=shared, B=shared)
-    assert len(calls) == 1  # one wrap for two argument names
+    # one wrap for two argument names; dense-only operands skip COO
+    assert calls == ["_as_dense"]
     expected = shared @ shared
     out = kernel.finalize(kernel.run(prepared, (4, 4)))
     np.testing.assert_allclose(out, expected)

@@ -211,3 +211,22 @@ def test_naive_plan_coverage_on_degenerate_cubes(side):
         loop_order=("j", "i"), naive=True,
     )
     assert verify_plan_coverage(kernel.plan, side=side) == []
+
+
+# ----------------------------------------------------------------------
+# 0-d dense operands
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_dim_dense_operand(backend, dtype):
+    """A 0-d operand (``s[]``) is a dense scalar.  Packing it into a COO
+    used to raise, because numpy's ``nonzero`` rejects 0-d arrays."""
+    kernel = compile_kernel(
+        "y[i] += s[] * x[i]", options=DEFAULT.but(backend=backend, dtype=dtype)
+    )
+    x = np.linspace(-1.0, 1.0, 5)
+    out = kernel(s=np.array(2.0), x=x)
+    assert out.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(out, 2.0 * x.astype(dtype))
+    plan = kernel.execution_plan(s=np.array(-0.0), x=x)
+    assert not np.signbit(kernel.finalize(plan())).any()

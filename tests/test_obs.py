@@ -107,6 +107,30 @@ def test_span_nesting_and_ordering_full_cycle():
         assert e.t1 >= e.t0
 
 
+def test_prepare_substeps_and_finalize_are_spans():
+    """A traced one-shot call names the prepare sub-steps under
+    ``prepare`` and the finalize step beside it."""
+    kernel = get_kernel("ssymv").compile()
+    A, x = _sym(), np.linspace(0.0, 1.0, 8)
+    with obs.tracing() as rec:
+        kernel(A=A, x=x)
+    by_name = {e.name: e for e in rec.snapshot()}
+    prepare = by_name["prepare"]
+    for step in ("prepare:wrap", "prepare:views", "prepare:dense"):
+        event = by_name[step]
+        assert event.depth == prepare.depth + 1, step
+        assert prepare.t0 <= event.t0 <= event.t1 <= prepare.t1, step
+    finalize = by_name["finalize"]
+    assert finalize.depth == prepare.depth
+    assert finalize.t0 >= prepare.t1
+
+    previous = obs_trace.disable()
+    try:
+        assert obs_trace.span("prepare:wrap") is obs_trace.span("finalize")
+    finally:
+        obs_trace.set_recorder(previous)
+
+
 def test_tracing_scope_restores_previous_recorder():
     before = obs_trace.current()
     with obs.tracing() as rec:

@@ -25,6 +25,7 @@ from repro.core.config import (
     parallel_work_threshold,
 )
 from repro.kernels.library import get_kernel
+from tests import prepare_oracles as oracles
 from tests.conftest import make_symmetric_matrix
 
 HAVE_CC = get_backend("c").is_available()
@@ -187,6 +188,56 @@ def test_plan_matches_is_conservative_without_identity(rng):
     prepared, shape = kernel.prepare(A=A, x=x)
     plan = kernel.bound.plan_prepared(prepared, shape)  # no identity given
     assert not plan.matches({"A": A, "x": x})
+
+
+# ----------------------------------------------------------------------
+# dense inputs are snapshotted by one cast copy, not COO-packed
+# ----------------------------------------------------------------------
+def _dense_arg(kernel, tensor: str) -> str:
+    """The prepared-argument name of *tensor*'s (only) dense view."""
+    (view,) = [v for v in kernel.lowered.dense_views if v.tensor == tensor]
+    return view.name
+
+
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_prepared_dense_arrays_never_alias_the_callers(rng, backend, dtype):
+    kernel = _ssymv(backend, dtype)
+    # already in the kernel's dtype, so no cast would force a copy
+    A = make_symmetric_matrix(rng, 12, 0.5).astype(dtype)
+    x = rng.random(12).astype(dtype)
+    plan = kernel.execution_plan(A=A, x=x)
+    arrays = [a for a in plan.prepared.values() if isinstance(a, np.ndarray)]
+    assert any(a.shape == x.shape for a in arrays)
+    for arr in arrays:
+        assert not np.shares_memory(arr, x)
+        assert not np.shares_memory(arr, A)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_plan_output_ignores_in_place_mutation_of_dense_input(rng, backend):
+    kernel = _ssymv(backend)
+    A = make_symmetric_matrix(rng, 12, 0.5)
+    x = rng.random(12)
+    plan = kernel.execution_plan(A=A, x=x)
+    before = kernel.finalize(plan()).copy()
+    x *= -3.0
+    x[0] = np.nan
+    after = kernel.finalize(plan())
+    assert after.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_negative_zero_in_dense_input_prepares_as_positive_zero(rng, backend):
+    kernel = _ssymv(backend)
+    A = make_symmetric_matrix(rng, 12, 0.5)
+    x = rng.random(12)
+    x[[1, 5]] = -0.0
+    prepared, _ = kernel.prepare(A=A, x=x)
+    arg = prepared[_dense_arg(kernel, "x")]
+    assert not np.signbit(arg[[1, 5]]).any()
+    assert np.signbit(x[[1, 5]]).all()  # the caller's array is untouched
+    assert arg.tobytes() == oracles.dense_operand(x, np.float64).tobytes()
 
 
 # ----------------------------------------------------------------------
