@@ -299,7 +299,9 @@ class Lowerer:
         for acc in self._all_accesses():
             if self.formats.get(acc.tensor) == "sparse" and v in acc.indices:
                 return None
-        if v not in self.original.free_indices:
+        # a reduction index stays a scalar loop: vectorizing it would
+        # accumulate a whole vector into one output element
+        if v not in self.original.lhs.indices:
             return None
         return v
 

@@ -182,6 +182,8 @@ class ServiceClient:
         """
         msg = dict(payload or {})
         msg["op"] = op
+        # ask for v2 replies; a v1 daemon ignores the key
+        msg["wire"] = protocol.PROTOCOL_VERSION
         if deadline is not None:
             msg["deadline_s"] = deadline
         delay = self.backoff
@@ -321,14 +323,19 @@ def _artifact_dir() -> str:
 def _materialize_artifact(key: str, reply: dict) -> Optional[str]:
     """Write the shipped shared object to disk iff its bytes match the
     recorded hash — the same refuse-to-dlopen-torn-ELFs rule the disk
-    store enforces.  Returns its path, or ``None`` (rebuild locally)."""
-    blob_b64 = reply.get("artifact")
+    store enforces.  The artifact is raw bytes from a v2 daemon or a
+    base64 string from a v1 one.  Returns its path, or ``None``
+    (rebuild locally)."""
+    blob = reply.get("artifact")
     digest = reply.get("artifact_sha256")
-    if not blob_b64 or not digest:
+    if not blob or not digest:
         return None
-    try:
-        blob = base64.b64decode(blob_b64, validate=True)
-    except Exception:
+    if isinstance(blob, str):
+        try:
+            blob = base64.b64decode(blob, validate=True)
+        except ValueError:
+            return None
+    elif not isinstance(blob, protocol.BYTES_LIKE):
         return None
     if hashlib.sha256(blob).hexdigest() != digest:
         obs_metrics.inc("service.remote.artifact_rejected")

@@ -2,9 +2,10 @@
 
 An asyncio unix-socket server that owns a :class:`KernelService` (the
 in-memory LRU and the disk store) plus a bounded pool of warm
-:class:`ExecutionPlan`\\ s, and speaks the length-prefixed JSON protocol
-of :mod:`repro.serve.protocol`.  Robustness decisions, in order of what
-kills shared services first:
+:class:`ExecutionPlan`\\ s, and speaks the length-prefixed protocol of
+:mod:`repro.serve.protocol` — binary v2 frames, or pure JSON to a v1
+client (the layout is chosen per request, never server-wide).
+Robustness decisions, in order of what kills shared services first:
 
 * **Deadlines** — every request runs under a deadline (its own
   ``deadline_s`` or ``$REPRO_SERVE_DEADLINE``); expiry answers a
@@ -26,10 +27,10 @@ kills shared services first:
   start; ``--warm`` rehydrates the LRU from the disk store, whose
   ``artifact_sha256`` verification refuses to ``dlopen`` torn shared
   objects (they are healed by a clean rebuild instead).
-* **Hostile input** — oversized length prefixes, garbage JSON and torn
-  frames answer ``bad-request``/close without allocating; a started
-  frame that stalls (slowloris) is cut off by
-  ``$REPRO_SERVE_READ_TIMEOUT``.
+* **Hostile input** — oversized length prefixes, garbage JSON, torn
+  frames and malformed v2 segment tables answer ``bad-request``/close
+  without allocating; a started frame that stalls (slowloris) is cut
+  off by ``$REPRO_SERVE_READ_TIMEOUT``.
 
 Fault-injection points (:mod:`repro.faults`): ``wire.accept``,
 ``wire.read``, ``wire.write`` and ``serve.handler`` make every failure
@@ -39,7 +40,6 @@ path above deterministically testable.
 from __future__ import annotations
 
 import asyncio
-import base64
 import hashlib
 import os
 import signal
@@ -50,6 +50,8 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro import faults
 from repro.codegen.backends import health as backend_health
@@ -137,8 +139,15 @@ def _execute_digest(key: str, tensors) -> str:
         digest.update(
             ("|%s:%s:%s:" % (name, arr.dtype, arr.shape)).encode("ascii")
         )
-        digest.update(arr.tobytes())
+        # hash the C-order bytes in place (decoded arrays are already
+        # contiguous, so this copies nothing)
+        digest.update(memoryview(np.ascontiguousarray(arr)))
     return digest.hexdigest()
+
+
+#: asyncio stream-buffer limit.  The default 64 KiB pauses and resumes
+#: the socket reader many times per MB-scale tensor frame.
+STREAM_LIMIT = 4 << 20
 
 
 class _BadFrame(Exception):
@@ -271,7 +280,7 @@ class KernelServer:
         self._idle.set()
         try:
             self._server = await asyncio.start_unix_server(
-                self._on_connect, path=self.socket_path
+                self._on_connect, path=self.socket_path, limit=STREAM_LIMIT
             )
         except BaseException:
             self._lock_file.release()
@@ -355,7 +364,7 @@ class KernelServer:
         try:
             while True:
                 try:
-                    msg = await self._read_frame(reader)
+                    frame = await self._read_frame(reader)
                 except _BadFrame as exc:
                     self.errors += 1
                     obs_metrics.inc("serve.bad_frames")
@@ -364,10 +373,11 @@ class KernelServer:
                         error_reply(None, protocol.BAD_REQUEST, str(exc)),
                     )
                     break  # framing may be desynchronized: drop the link
-                if msg is None:
+                if frame is None:
                     break  # clean EOF
+                msg, wire = frame
                 reply = await self._handle(msg)
-                if not await self._write_frame(writer, reply):
+                if not await self._write_frame(writer, reply, wire):
                     break
         except asyncio.CancelledError:
             pass  # server shutdown cancelled this connection: done
@@ -385,8 +395,9 @@ class KernelServer:
             except Exception:
                 pass
 
-    async def _read_frame(self, reader) -> Optional[dict]:
-        """One request frame; ``None`` on clean EOF.
+    async def _read_frame(self, reader) -> Optional[Tuple[dict, int]]:
+        """One request frame and the wire layout to answer it in;
+        ``None`` on clean EOF.
 
         The wait for a frame's *first* byte is unbounded (idle client
         connections are legal); once a frame has started, the rest must
@@ -419,11 +430,12 @@ class KernelServer:
             except ProtocolError as exc:
                 raise _BadFrame(str(exc))
         try:
-            return protocol.decode_body(body)
+            msg = protocol.decode_body(body)
         except ProtocolError as exc:
             raise _BadFrame(str(exc))
+        return msg, protocol.reply_wire(body, msg)
 
-    async def _write_frame(self, writer, reply: dict) -> bool:
+    async def _write_frame(self, writer, reply: dict, wire: int = 1) -> bool:
         fault = faults.poll("wire.write")
         if fault is not None:
             if fault.action == "slow":
@@ -431,7 +443,7 @@ class KernelServer:
             else:
                 return False  # injected: connection died under the reply
         try:
-            writer.write(protocol.encode_frame(reply, self.max_frame))
+            writer.write(protocol.encode_frame(reply, self.max_frame, wire))
             await writer.drain()
             return True
         except (ConnectionError, OSError):
@@ -592,7 +604,8 @@ class KernelServer:
             try:
                 with open(so_path, "rb") as handle:
                     blob = handle.read()
-                payload["artifact"] = base64.b64encode(blob).decode("ascii")
+                # raw bytes: a v2 segment, or base64 for a v1 peer
+                payload["artifact"] = blob
                 payload["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
             except OSError:
                 pass  # build dir vanished: state alone still rehydrates

@@ -230,3 +230,39 @@ def test_zero_dim_dense_operand(backend, dtype):
     np.testing.assert_array_equal(out, 2.0 * x.astype(dtype))
     plan = kernel.execution_plan(s=np.array(-0.0), x=x)
     assert not np.signbit(kernel.finalize(plan())).any()
+
+
+# ----------------------------------------------------------------------
+# dense-only reductions
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dense_scalar_reduction(backend, dtype):
+    """``y[] += x[i] * z[i]`` on dense operands.  The innermost index
+    used to be vectorized although it is reduced away, so a whole vector
+    was added into the 0-d output ("setting an array element with a
+    sequence"), and the C renderer refused the kernel."""
+    kernel = compile_kernel(
+        "y[] += x[i] * z[i]", options=DEFAULT.but(backend=backend, dtype=dtype)
+    )
+    assert kernel.backend == backend
+    rng = np.random.default_rng(7)
+    x, z = rng.random(33), rng.random(33) - 0.5
+    out = kernel(x=x, z=z)
+    assert out.shape == () and out.dtype == np.dtype(dtype)
+    expected = np.dot(x.astype(dtype), z.astype(dtype))
+    rtol = 1e-12 if dtype == "float64" else 1e-5
+    np.testing.assert_allclose(out, expected, rtol=rtol)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dense_reduction_innermost(backend):
+    """The same fault one rank up: ``j`` innermost and reduced away."""
+    kernel = compile_kernel(
+        "y[i] += A[i, j] * x[j]", loop_order=("i", "j"),
+        options=DEFAULT.but(backend=backend),
+    )
+    assert kernel.backend == backend
+    rng = np.random.default_rng(8)
+    A, x = rng.random((6, 9)), rng.random(9)
+    np.testing.assert_allclose(kernel(A=A, x=x), A @ x, rtol=1e-12)

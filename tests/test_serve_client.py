@@ -269,3 +269,34 @@ def test_fetch_compiled_rejects_mismatched_artifact(monkeypatch, tmp_path):
     reply["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
     path = serve_client._materialize_artifact("deadbeef", reply)
     assert path is not None and open(path, "rb").read() == blob
+
+
+@pytest.mark.parametrize("wrap", [bytes, memoryview, bytearray])
+def test_materialize_accepts_raw_artifact_bytes(wrap):
+    """A v2 daemon ships the artifact as a raw segment; the hash check
+    before any dlopen is the same as for the base64 form."""
+    import hashlib
+
+    blob = b"\x7fELF raw segment"
+    reply = {"artifact": wrap(blob), "artifact_sha256": "0" * 64}
+    assert serve_client._materialize_artifact("cafe", reply) is None
+    reply["artifact_sha256"] = hashlib.sha256(blob).hexdigest()
+    path = serve_client._materialize_artifact("cafe", reply)
+    assert path is not None and open(path, "rb").read() == blob
+    reply["artifact"] = 42  # neither bytes nor base64
+    assert serve_client._materialize_artifact("cafe", reply) is None
+
+
+def test_client_asks_for_v2_replies(tmp_path):
+    sent = []
+
+    class Recorder(ServiceClient):
+        def _send(self, sock, msg):
+            sent.append(dict(msg))
+            super()._send(sock, msg)
+
+    with running_daemon(tmp_path) as (server, sock):
+        client = Recorder(sock)
+        assert client.health()["protocol"] == protocol.PROTOCOL_VERSION
+        client.close()
+    assert sent and all(msg["wire"] == 2 for msg in sent)

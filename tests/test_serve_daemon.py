@@ -9,7 +9,9 @@ the kill-9 test runs a real ``repro serve`` subprocess.
 from __future__ import annotations
 
 import asyncio
+import base64
 import contextlib
+import json
 import os
 import signal
 import socket as socket_module
@@ -23,10 +25,12 @@ import pytest
 
 from repro import faults
 from repro.cli import _synth_inputs
+from repro.codegen.backends import get_backend
 from repro.core.config import CompilerOptions
 from repro.serve import protocol
+from repro.serve import client as serve_client
 from repro.serve.client import RemoteUnavailable, ServiceClient
-from repro.serve.daemon import KernelServer, PlanPool, probe_socket
+from repro.serve.daemon import KernelServer, PlanPool, _execute_digest, probe_socket
 from repro.service.engine import KernelService
 from repro.service.keys import canonicalize
 
@@ -82,6 +86,27 @@ def raw_call(sock_path: str, msg: dict, timeout: float = 10.0) -> dict:
         sock.close()
 
 
+def raw_exchange(sock_path: str, body: bytes, timeout: float = 10.0) -> bytes:
+    """Send one hand-built frame body; return the raw reply body."""
+    sock = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
+    sock.settimeout(timeout)
+    try:
+        sock.connect(sock_path)
+        sock.sendall(protocol.HEADER.pack(len(body)) + body)
+        header = _recv_exact(sock, protocol.HEADER.size)
+        return _recv_exact(sock, protocol.decode_length(header))
+    finally:
+        sock.close()
+
+
+def v1_call(sock_path: str, msg: dict) -> dict:
+    """One exchange as a v1 client: base64 JSON out, pure JSON back."""
+    body = protocol.encode_frame(msg, wire=1)[protocol.HEADER.size :]
+    reply = raw_exchange(sock_path, body)
+    assert not reply.startswith(protocol.MAGIC), "v1 client got a v2 reply"
+    return json.loads(reply)
+
+
 def _recv_exact(sock, n: int) -> bytes:
     chunks = []
     while n:
@@ -122,7 +147,17 @@ def test_all_kernels_bit_identical_over_socket(tmp_path, dtype):
             remote, reply = client.execute(request, tensors)
             assert reply["ok"], name
             assert remote.dtype == expected.dtype, name
-            assert np.array_equal(remote, expected), name
+            assert remote.tobytes() == expected.tobytes(), name
+            # the same request from a v1 client: base64 both ways
+            old = v1_call(sock, {
+                "op": "execute", "id": 1,
+                "spec": protocol.spec_from_request(request),
+                "tensors": protocol.encode_tensors(tensors),
+            })
+            assert isinstance(old["result"]["data"], str), name
+            old_result = protocol.decode_tensor(old["result"])
+            assert old_result.dtype == expected.dtype, name
+            assert old_result.tobytes() == expected.tobytes(), name
         client.close()
     assert server.errors == 0
 
@@ -236,7 +271,7 @@ def test_health_stats_and_unknown_op(tmp_path):
         stats = raw_call(sock, {"op": "stats", "id": 2})
         bogus = raw_call(sock, {"op": "frobnicate", "id": 3})
     assert health["ok"] and health["status"] == "serving"
-    assert health["protocol"] == protocol.PROTOCOL_VERSION
+    assert health["protocol"] == protocol.PROTOCOL_VERSION == 2
     assert health["pid"] == os.getpid()
     assert stats["ok"] and stats["server"]["queue_limit"] == server.queue_limit
     assert "memory" in stats["stats"]
@@ -350,6 +385,165 @@ def test_slowloris_is_disconnected_by_read_timeout(tmp_path):
         finally:
             hostile.close()
         assert _daemon_still_serves(sock)
+
+
+def _v2_body(header, payload: bytes = b"") -> bytes:
+    text = json.dumps(header).encode()
+    return protocol.MAGIC + protocol.HEADER.pack(len(text)) + text + payload
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        protocol.MAGIC[:3],
+        protocol.MAGIC + b"\x00\x00",
+        protocol.MAGIC + protocol.HEADER.pack(1 << 20) + b"{}",
+        _v2_body({"op": "health", "$segs": [1]}, b"xy"),
+        _v2_body({"op": "health", "$segs": [-1]}),
+        _v2_body({"op": "health", "$segs": ["x"]}, b"x"),
+        _v2_body({"op": "health", "$segs": [1], "a": {"$seg": 3}}, b"x"),
+        _v2_body({"op": "health", "$segs": [1], "a": {"$seg": "0"}}, b"x"),
+        # a table summing past max_frame, on a frame that is within it
+        _v2_body({"op": "health", "$segs": [1 << 30], "a": {"$seg": 0}}, b"x"),
+    ],
+)
+def test_hostile_v2_frames_answered_bad_request_and_closed(tmp_path, body):
+    with running_daemon(tmp_path, max_frame=4096) as (server, sock):
+        hostile = _hostile_sock(sock)
+        try:
+            hostile.sendall(protocol.HEADER.pack(len(body)) + body)
+            header = _recv_exact(hostile, protocol.HEADER.size)
+            reply = protocol.decode_body(
+                _recv_exact(hostile, protocol.decode_length(header))
+            )
+            assert reply["ok"] is False
+            assert reply["error"] == protocol.BAD_REQUEST
+            assert hostile.recv(1) == b""  # the link is dropped
+        finally:
+            hostile.close()
+        assert _daemon_still_serves(sock)
+        assert server.errors == 1
+
+
+def test_hand_built_v1_client_is_served_v1(tmp_path, rng):
+    """A client that predates v2: base64 tensors inside plain JSON, no
+    ``wire`` key.  It must get a pure-JSON reply it can parse."""
+    request = canonicalize(**SYMV)
+    kernel = KernelService(use_remote=False).get_or_compile_request(request)
+    A = rng.random((7, 7))
+    A = A + A.T
+    x = rng.random(7)
+
+    def v1_tensor(a):  # the v1 codec, written out
+        return {
+            "dtype": str(a.dtype),
+            "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii"),
+        }
+
+    msg = {
+        "op": "execute", "id": 5,
+        "spec": protocol.spec_from_request(request),
+        "tensors": {"A": v1_tensor(A), "x": v1_tensor(x)},
+    }
+    with running_daemon(tmp_path) as (server, sock):
+        body = raw_exchange(sock, json.dumps(msg).encode("utf-8"))
+    reply = json.loads(body.decode("utf-8"))
+    assert reply["ok"] and reply["id"] == 5
+    result = reply["result"]
+    y = np.frombuffer(base64.b64decode(result["data"]), dtype=result["dtype"])
+    assert y.reshape(result["shape"]).tobytes() == kernel(A=A, x=x).tobytes()
+
+
+def test_v1_and_v2_connections_each_get_their_own_layout(tmp_path, rng):
+    request = canonicalize(**SYMV)
+    A = rng.random((6, 6))
+    msg = {
+        "op": "execute",
+        "spec": protocol.spec_from_request(request),
+        "tensors": protocol.encode_tensors({"A": A + A.T, "x": rng.random(6)}),
+    }
+    with running_daemon(tmp_path) as (server, sock):
+        old, new = _hostile_sock(sock), _hostile_sock(sock)
+        try:
+            for round_ in range(3):
+                # both requests are in flight before either reply is read
+                old.sendall(protocol.encode_frame(dict(msg, id=round_), wire=1))
+                new.sendall(protocol.encode_frame(dict(msg, id=round_, wire=2)))
+                replies = {}
+                for name, conn in (("new", new), ("old", old)):
+                    header = _recv_exact(conn, protocol.HEADER.size)
+                    replies[name] = _recv_exact(conn, protocol.decode_length(header))
+                assert replies["new"].startswith(protocol.MAGIC)
+                v1 = json.loads(replies["old"])
+                v2 = protocol.decode_body(replies["new"])
+                assert isinstance(v1["result"]["data"], str)
+                assert isinstance(v2["result"]["data"], memoryview)
+                assert (
+                    protocol.decode_tensor(v1["result"]).tobytes()
+                    == protocol.decode_tensor(v2["result"]).tobytes()
+                )
+        finally:
+            old.close()
+            new.close()
+    assert server.errors == 0
+
+
+def test_frames_larger_than_the_stream_buffer(tmp_path, rng):
+    """A 5 MB request is past the daemon's stream-buffer limit: the
+    reader pauses and resumes, and the answer stays bit-identical."""
+    request = canonicalize(**SYMV)
+    kernel = KernelService(use_remote=False).get_or_compile_request(request)
+    n = 800
+    A = np.triu(rng.random((n, n)) < 0.01) * rng.random((n, n))
+    A = A + A.T
+    x = rng.random(n)
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock)
+        remote, _ = client.execute(request, {"A": A, "x": x})
+        client.close()
+    assert remote.tobytes() == kernel(A=A, x=x).tobytes()
+
+
+@pytest.mark.skipif(
+    not get_backend("c").is_available(),
+    reason="no C compiler: compiled kernels ship no artifact",
+)
+def test_compile_ships_artifact_raw_to_v2_and_base64_to_v1(tmp_path):
+    request = canonicalize(**SYMV, options=CompilerOptions(backend="c"))
+    with running_daemon(tmp_path) as (server, sock):
+        client = ServiceClient(sock)
+        new = client.compile(request)
+        client.close()
+        old = v1_call(sock, {
+            "op": "compile", "id": 1, "spec": protocol.spec_from_request(request),
+        })
+    assert isinstance(new["artifact"], memoryview)
+    assert isinstance(old["artifact"], str)
+    assert bytes(new["artifact"]) == base64.b64decode(old["artifact"])
+    assert new["artifact_sha256"] == old["artifact_sha256"]
+    for reply in (new, old):  # the client accepts either form
+        path = serve_client._materialize_artifact(request.key, reply)
+        assert path is not None
+        with open(path, "rb") as handle:
+            assert handle.read() == bytes(new["artifact"])
+
+
+def test_execute_digest_hashes_c_order_bytes(rng):
+    import hashlib
+
+    A = rng.random((5, 4))
+    strided = np.asfortranarray(A)
+    key = "k" * 64
+    reference = hashlib.sha256(key.encode())
+    reference.update(b"|A:float64:(5, 4):")
+    reference.update(A.tobytes())
+    assert _execute_digest(key, {"A": A}) == reference.hexdigest()
+    assert _execute_digest(key, {"A": strided}) == reference.hexdigest()
+    # same bytes, different shape: a different request
+    assert _execute_digest(key, {"A": A.reshape(4, 5)}) != reference.hexdigest()
+    for arr in (np.array(1.5), np.zeros((0, 3)), np.array([True, False])):
+        assert _execute_digest(key, {"t": arr}) == _execute_digest(key, {"t": arr.copy()})
 
 
 def test_bad_spec_answered_bad_request_not_crash(tmp_path):
